@@ -37,11 +37,12 @@ const latencyFloorNs = float64(10 * time.Millisecond)
 const allocFloorPerEvent = 0.25
 
 // heapFloorBytes is the absolute slack applied to the E9
-// peak-heap comparison. The heap sampler observes live allocation
-// through GC timing, so a few megabytes of jitter between runs is
-// normal on any host; the gate exists to catch the streaming compactor
-// regressing to whole-backlog buffering, which inflates the peak by
-// the decoded backlog — tens of megabytes at the E9 sweep sizes.
+// peak-heap comparison. The live-heap high-water is read at GC cycle
+// ends, so which cycle lands at the pass's busiest moment varies and a
+// few megabytes of jitter between runs is normal on any host; the gate
+// exists to catch the streaming compactor regressing to whole-backlog
+// buffering, which inflates the peak by the decoded backlog — tens of
+// megabytes at the E9 sweep sizes.
 const heapFloorBytes = float64(8 << 20)
 
 // rowKey identifies a sweep cell across artefacts: every config-like

@@ -609,8 +609,9 @@ func runSoakSweep(repeats int, out, errOut io.Writer) ([]map[string]any, map[str
 	fmt.Fprint(out, experiment.SoakBenchTable(rows).String())
 	small, large := rows[0], rows[len(rows)-1]
 	if large.Backlog > small.Backlog {
-		// A fast pass can report a zero peak (GC keeps HeapAlloc at the
-		// baseline); a 1 MiB denominator floor keeps the ratio meaningful.
+		// A pass that ends before any GC cycle reports a zero peak (the
+		// live heap moves only at cycle ends); a 1 MiB denominator floor
+		// keeps the ratio meaningful.
 		denom := float64(small.PeakHeapBytes)
 		if denom < 1<<20 {
 			denom = 1 << 20

@@ -251,8 +251,10 @@ func TestTraceStoreStandaloneArtefactAndSelfGate(t *testing.T) {
 	}
 }
 
+// Not parallel: E9's peak heap is a process-wide reading, so the
+// sweep must not share the test process with the other sweeps' live
+// data.
 func TestSoakStandaloneArtefactAndSelfGate(t *testing.T) {
-	t.Parallel()
 	path := filepath.Join(t.TempDir(), "soak.json")
 	code, out, errOut := runTool(t, "-soak", "-repeats", "1", "-json", path)
 	if code != 0 {
@@ -296,8 +298,10 @@ func TestSoakStandaloneArtefactAndSelfGate(t *testing.T) {
 	}
 }
 
+// Not parallel, like the E9 test: allocs/event counts the whole
+// process's allocations, so other sweeps running alongside would be
+// billed to the record path.
 func TestRecordPathStandaloneArtefactAndSelfGate(t *testing.T) {
-	t.Parallel()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rp.json")
 	code, out, errOut := runTool(t, "-recordpath", "-repeats", "1", "-json", path)

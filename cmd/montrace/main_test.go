@@ -426,7 +426,9 @@ func TestWindowFlagsOnFlatFile(t *testing.T) {
 }
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed.
+// returns everything it printed. It swaps the process-wide os.Stdout,
+// so tests calling it must not be parallel: a parallel test printing
+// meanwhile would write into the pipe, or into it after it is closed.
 func captureStdout(t *testing.T, fn func()) string {
 	t.Helper()
 	old := os.Stdout
@@ -626,7 +628,6 @@ func buildAlertedDir(t *testing.T, dir string) {
 // at their horizons, check notes the degradation episode — and the
 // alerts never turn a clean trace into a faulty exit code.
 func TestAlertsSurfaceInSubcommands(t *testing.T) {
-	t.Parallel()
 	dir := filepath.Join(t.TempDir(), "run")
 	buildAlertedDir(t, dir)
 
@@ -672,7 +673,6 @@ func TestAlertsSurfaceInSubcommands(t *testing.T) {
 // wall-clock order under an origin column, and every origin's alerts
 // tagged with where they came from.
 func TestFleetStatsMergedTimeline(t *testing.T) {
-	t.Parallel()
 	root := filepath.Join(t.TempDir(), "fleet")
 	buildAlertedDir(t, filepath.Join(root, "prod-a"))
 	buildAlertedDir(t, filepath.Join(root, "prod-b"))

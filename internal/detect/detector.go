@@ -41,6 +41,7 @@ package detect
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -520,29 +521,16 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 			d.db.AppendState(snap)
 		}
 		now := d.cfg.Clock.Now()
-		if d.cfg.BatchSize > 0 {
-			// Batched: each worker drains its monitor's shard in bounded
-			// slices up to the frozen horizon and replays as it goes; the
-			// checking-list seeding is paid once per monitor, not once
-			// per batch.
-			d.runPool(len(sel), func(k int) {
-				ms := d.mons[sel[k]]
-				perMon[k], events[k] = d.replayMonitor(ms,
-					d.batchDrain(ms.mon.Name(), lastSeq), snaps[k], now)
-			})
-		} else {
-			// Single-drain: capture every segment while the world is
-			// stopped, then replay through the worker pool while the
-			// world is still held, as the paper's prototype does.
-			segs := make([]event.Seq, len(sel))
-			for k, i := range sel {
-				segs[k] = d.db.DrainMonitor(d.mons[i].mon.Name())
-			}
-			d.runPool(len(sel), func(k int) {
-				perMon[k], events[k] = d.replayMonitor(d.mons[sel[k]],
-					drainOnce(segs[k]), snaps[k], now)
-			})
-		}
+		// … then each worker drains its monitor's shard up to the frozen
+		// horizon and replays it while the world is still held, as the
+		// paper's prototype does. Batched, the drain comes in bounded
+		// slices with the checking-list seeding paid once per monitor,
+		// not once per batch; unbatched (BatchSize 0) it is one slice.
+		d.runPool(len(sel), func(k int) {
+			ms := d.mons[sel[k]]
+			perMon[k], events[k] = d.replayMonitor(ms,
+				d.batchDrain(ms.mon.Name(), lastSeq), snaps[k], now)
+		})
 		// Extras run while the world is still frozen, as before.
 		for _, extra := range d.cfg.Extra {
 			perMon = append(perMon, extra.Check(now))
@@ -579,7 +567,7 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 			d.db.FlushMonitorWriters(ms.mon.Name())
 			t0 := d.cfg.Clock.Now()
 			snap := ms.mon.Snapshot().Clone()
-			var drain func() (event.Seq, bool)
+			var drain drainFunc
 			if d.cfg.BatchSize > 0 {
 				horizon := d.db.LastSeq()
 				snap.LastSeq = horizon
@@ -588,7 +576,7 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 				ms.mon.Thaw()
 				drain = d.batchDrain(ms.mon.Name(), horizon)
 			} else {
-				seg := d.db.DrainMonitor(ms.mon.Name())
+				seg, _, owned := d.db.DrainMonitorUpTo(ms.mon.Name(), math.MaxInt64, 0)
 				snap.LastSeq = ms.prev.LastSeq
 				if n := len(seg); n > 0 {
 					snap.LastSeq = seg[n-1].Seq
@@ -596,7 +584,7 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 				d.db.AppendState(snap)
 				frozen[k] = d.cfg.Clock.Now().Sub(t0)
 				ms.mon.Thaw()
-				drain = drainOnce(seg)
+				drain = drainOnce(seg, owned)
 			}
 			perMon[k], events[k] = d.replayMonitor(ms, drain, snap, now)
 		})
@@ -642,19 +630,24 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 	return out
 }
 
+// drainFunc delivers one batch of a monitor's checkpoint segment,
+// whether more batches follow, and whether the batch is exclusively
+// the detector's (history.DB.DrainMonitorUpTo's ownership result).
+type drainFunc func() (seg event.Seq, more, owned bool)
+
 // batchDrain returns a drain function pulling the named monitor's
 // buffered events up to the checkpoint horizon in Config.BatchSize
-// slices.
-func (d *Detector) batchDrain(name string, horizon int64) func() (event.Seq, bool) {
-	return func() (event.Seq, bool) {
+// slices (one slice when BatchSize is 0).
+func (d *Detector) batchDrain(name string, horizon int64) drainFunc {
+	return func() (event.Seq, bool, bool) {
 		return d.db.DrainMonitorUpTo(name, horizon, d.cfg.BatchSize)
 	}
 }
 
 // drainOnce adapts a pre-drained segment to the drain-function shape
 // used by replayMonitor: one batch, nothing more.
-func drainOnce(seg event.Seq) func() (event.Seq, bool) {
-	return func() (event.Seq, bool) { return seg, false }
+func drainOnce(seg event.Seq, owned bool) drainFunc {
+	return func() (event.Seq, bool, bool) { return seg, false, owned }
 }
 
 // runPool applies fn to every index in [0, n) through the bounded
@@ -696,7 +689,13 @@ func (d *Detector) runPool(n int, fn func(k int)) {
 // amortised-seeding half of batched checkpoints). Within a checkpoint
 // it is called by exactly one worker per monitor; the checkpoint
 // barrier in checkSubset orders these calls across checkpoints.
-func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), cur state.Snapshot, now time.Time) ([]rules.Violation, int) {
+//
+// A batch the detector owns (no drain tee saw it) goes back to the
+// history's slab pool as soon as it is applied: the checking lists and
+// the request list copy events by value, so nothing outlives the
+// batch, and the shard's next drain reuses the slab instead of
+// allocating one.
+func (d *Detector) replayMonitor(ms *monState, drain drainFunc, cur state.Snapshot, now time.Time) ([]rules.Violation, int) {
 	spec := ms.mon.Spec()
 
 	// Algorithm-1 Step 1 (+ Algorithm-2 Step 1 for coordinators): seed
@@ -705,7 +704,7 @@ func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), c
 	var out []rules.Violation
 	events := 0
 	for {
-		seg, more := drain()
+		seg, more, owned := drain()
 		if spec.Kind == monitor.ResourceAllocator {
 			// The request list interleaves its findings with replay, so
 			// allocators step event by event.
@@ -717,6 +716,9 @@ func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), c
 			lists.Replay(seg)
 		}
 		events += len(seg)
+		if owned {
+			d.db.Recycle(seg)
+		}
 		if !more {
 			break
 		}

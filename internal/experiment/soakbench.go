@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -137,13 +138,19 @@ func soakBenchPass(backlog int, cfg SoakBenchConfig) (SoakBenchRow, error) {
 		return row, err
 	}
 
-	// Live-heap peak during the pass, against a post-GC baseline. The
-	// sampler's own cost is two words per tick; 200µs resolution is
-	// far finer than any chunk's lifetime.
+	// Live-heap high-water during the pass, against a post-GC baseline.
+	// The live heap (/gc/heap/live:bytes, what the latest GC cycle
+	// marked reachable) excludes uncollected garbage, so the peak tracks
+	// what the compactor holds, not when the collector happened to run.
+	// The metric moves only at GC cycle ends, which a pass at these
+	// allocation rates reaches many times over; a 200µs poll sees each.
 	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	readLive := func() uint64 {
+		metrics.Read(live)
+		return live[0].Value.Uint64()
+	}
+	base := readLive()
 	peak := base
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -155,13 +162,10 @@ func soakBenchPass(backlog int, cfg SoakBenchConfig) (SoakBenchRow, error) {
 		for {
 			select {
 			case <-stop:
+				peak = max(peak, readLive())
 				return
 			case <-tick.C:
-				var s runtime.MemStats
-				runtime.ReadMemStats(&s)
-				if s.HeapAlloc > peak {
-					peak = s.HeapAlloc
-				}
+				peak = max(peak, readLive())
 			}
 		}
 	}()

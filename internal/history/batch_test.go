@@ -75,7 +75,7 @@ func TestDrainMonitorUpToBatches(t *testing.T) {
 			var drained []int64
 			batches := 0
 			for {
-				seg, more := db.DrainMonitorUpTo("a", horizon, 3)
+				seg, more, _ := db.DrainMonitorUpTo("a", horizon, 3)
 				batches++
 				for _, e := range seg {
 					if e.Monitor != "a" {
@@ -125,7 +125,7 @@ func TestDrainMonitorUpToNoBound(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		apFor(db, "a")
 	}
-	seg, more := db.DrainMonitorUpTo("a", db.LastSeq(), 0)
+	seg, more, _ := db.DrainMonitorUpTo("a", db.LastSeq(), 0)
 	if len(seg) != 7 || more {
 		t.Fatalf("unbounded drain: %d events, more=%v; want 7, false", len(seg), more)
 	}
@@ -150,7 +150,7 @@ func TestDrainMonitorUpToFeedsTees(t *testing.T) {
 		apFor(db, "a")
 	}
 	for {
-		if _, more := db.DrainMonitorUpTo("a", db.LastSeq(), 4); !more {
+		if _, more, _ := db.DrainMonitorUpTo("a", db.LastSeq(), 4); !more {
 			break
 		}
 	}
@@ -163,6 +163,36 @@ func TestDrainMonitorUpToFeedsTees(t *testing.T) {
 		if s != int64(i+1) {
 			t.Fatalf("tee order broken: teed[%d] = %d", i, s)
 		}
+	}
+}
+
+// TestDrainMonitorUpToReportsOwnership pins the ownership answer: a
+// batch is owned exactly when no tee saw it, and never under
+// WithGlobalLock.
+func TestDrainMonitorUpToReportsOwnership(t *testing.T) {
+	t.Parallel()
+	drainOne := func(db *DB) bool {
+		apFor(db, "a")
+		seg, _, owned := db.DrainMonitorUpTo("a", db.LastSeq(), 0)
+		if len(seg) != 1 {
+			t.Fatalf("drained %d events, want 1", len(seg))
+		}
+		return owned
+	}
+	db := New()
+	if !drainOne(db) {
+		t.Error("untapped drain not owned")
+	}
+	db.AddDrainTee(func(string, event.Seq) {})
+	if drainOne(db) {
+		t.Error("teed drain reported owned")
+	}
+	db.SetDrainTee(nil)
+	if !drainOne(db) {
+		t.Error("drain after SetDrainTee(nil) not owned")
+	}
+	if drainOne(New(WithGlobalLock())) {
+		t.Error("WithGlobalLock drain reported owned")
 	}
 }
 

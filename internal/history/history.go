@@ -46,6 +46,7 @@ package history
 
 import (
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,12 +82,14 @@ type shard struct {
 type counter struct{ n atomic.Int64 }
 
 // DrainTee observes drained segments. The database calls each
-// installed tee once per (monitor, segment) pair for every Drain and
-// DrainMonitor, after the shard locks are released; the events slice
-// is shared read-only with the drain caller (and any other tees) and
-// must not be mutated. internal/export.Exporter satisfies this
-// signature, which is how checkpoints feed the async trace-export
-// pipeline for free.
+// installed tee once per (monitor, segment) pair for every Drain,
+// DrainMonitor and DrainMonitorUpTo, after the shard locks are
+// released; the events slice is shared read-only with the drain
+// caller (and any other tees) and must not be mutated. A tee may
+// retain the slice: a teed segment is never reported as owned by
+// DrainMonitorUpTo, so it is never recycled into the slab pool.
+// internal/export.Exporter satisfies this signature, which is how
+// checkpoints feed the async trace-export pipeline for free.
 type DrainTee func(monitor string, seg event.Seq)
 
 // DB is a concurrent, append-only event store with checkpoint draining,
@@ -390,33 +393,10 @@ func (db *DB) Drain() event.Seq {
 // With WithGlobalLock the single shared shard holds every monitor's
 // events, so DrainMonitor filters the named monitor's events out of it
 // and keeps the rest queued. The drained segment is fed to the drain
-// tee (if one is installed) after the shard lock is released.
+// tee (if one is installed) after the shard lock is released. It is
+// DrainMonitorUpTo with no horizon and no batch bound.
 func (db *DB) DrainMonitor(monitor string) event.Seq {
-	s := db.shardFor(monitor)
-	var seg event.Seq
-	if db.global {
-		s.mu.Lock()
-		var mine, rest []event.Event
-		for _, e := range s.segment {
-			if e.Monitor == monitor {
-				mine = append(mine, e)
-			} else {
-				rest = append(rest, e)
-			}
-		}
-		s.segment = rest
-		s.mu.Unlock()
-		seg = mine
-	} else {
-		s.mu.Lock()
-		seg = s.drainSegmentLocked(len(s.segment))
-		s.mu.Unlock()
-	}
-	if len(seg) > 0 {
-		for _, tee := range db.drainTees() {
-			tee(monitor, seg)
-		}
-	}
+	seg, _, _ := db.DrainMonitorUpTo(monitor, math.MaxInt64, 0)
 	return seg
 }
 
@@ -432,6 +412,14 @@ func (db *DB) DrainMonitor(monitor string) event.Seq {
 // would have returned. Each batch is fed to the drain tees after the
 // shard lock is released, like every other drain path.
 //
+// owned reports whether the caller holds the only reference to the
+// returned segment and may hand it to Recycle once done with it. It
+// is decided by the same tee snapshot the batch was fed to: true
+// exactly when no tee saw the batch, so a tee installed or removed
+// concurrently (AddDrainTee, SetDrainTee(nil)) can never turn a
+// segment a tee retains into an owned one. Segments drained under
+// WithGlobalLock are never owned.
+//
 // Under WithGlobalLock the shared shard interleaves monitors and has
 // no per-monitor prefix to cut cheaply: honouring max there would
 // rescan (and reallocate) the whole remaining segment once per batch
@@ -439,10 +427,8 @@ func (db *DB) DrainMonitor(monitor string) event.Seq {
 // for. The legacy mode therefore drains the monitor's whole eligible
 // set in one O(S) filter pass and ignores max; callers receive it as
 // a single batch.
-func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, bool) {
+func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (seg event.Seq, more, owned bool) {
 	s := db.shardFor(monitor)
-	var seg event.Seq
-	var more bool
 	s.mu.Lock()
 	if db.global {
 		var mine, rest []event.Event
@@ -472,12 +458,13 @@ func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, 
 		more = k > n
 	}
 	s.mu.Unlock()
+	tees := db.drainTees()
 	if len(seg) > 0 {
-		for _, tee := range db.drainTees() {
+		for _, tee := range tees {
 			tee(monitor, seg)
 		}
 	}
-	return seg, more
+	return seg, more, tees == nil && !db.global
 }
 
 // Peek returns a copy of the current segment, merged across shards,

@@ -420,9 +420,11 @@ func TestBatchedIngestRacesDrainsAndResets(t *testing.T) {
 							resetMu.Unlock()
 							continue
 						}
-						seg, _ := db.DrainMonitorUpTo(mon, db.LastSeq(), blockLen*2)
+						seg, _, owned := db.DrainMonitorUpTo(mon, db.LastSeq(), blockLen*2)
 						col.add(t, seg)
-						db.Recycle(seg)
+						if owned {
+							db.Recycle(seg)
+						}
 					}
 				}()
 			}

@@ -28,14 +28,14 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 
 	// Partial cut: copies into a fresh class-1024 segment (cold pool →
 	// miss), which Recycle then returns to exactly that class.
-	seg1, more := db.DrainMonitorUpTo("m", horizon, 1024)
+	seg1, more, _ := db.DrainMonitorUpTo("m", horizon, 1024)
 	if len(seg1) != 1024 || !more {
 		t.Fatalf("first cut: %d events, more=%v", len(seg1), more)
 	}
 	db.Recycle(seg1)
 
 	// Second cut: served by the slab just recycled — a pool hit.
-	seg2, _ := db.DrainMonitorUpTo("m", horizon, 1024)
+	seg2, _, _ := db.DrainMonitorUpTo("m", horizon, 1024)
 	if len(seg2) != 1024 {
 		t.Fatalf("second cut: %d events", len(seg2))
 	}
@@ -43,7 +43,7 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 
 	// The remainder (962 events) drains whole: the swap path asks the
 	// pool for a replacement slab and finds seg2's again.
-	seg3, more := db.DrainMonitorUpTo("m", horizon, 1024)
+	seg3, more, _ := db.DrainMonitorUpTo("m", horizon, 1024)
 	if len(seg3) != 962 || more {
 		t.Fatalf("final cut: %d events, more=%v", len(seg3), more)
 	}

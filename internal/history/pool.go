@@ -21,15 +21,21 @@ import (
 //     slab from zero.
 //
 //   - Consumers which exclusively own a drained segment refill the
-//     slab pool via DB.Recycle. With a recycling consumer (the E6
-//     record-path harness; any tool that drains, uses, and discards)
-//     the slab cycles shard → consumer → pool → shard and the record
-//     path allocates nothing per event in steady state.
+//     slab pool via DB.Recycle. The production recycler is the
+//     detector: DrainMonitorUpTo reports each batch's ownership (no
+//     drain tee saw it), and the checkpoint recycles every owned
+//     batch once replayed, so the slab cycles shard → detector →
+//     pool → shard. The E6 record-path harness and any tool that
+//     drains, uses, and discards do the same; with a recycling
+//     consumer the record path allocates nothing per event in steady
+//     state.
 //
 // Consumers that never call Recycle lose nothing: the handed-off slabs
 // are ordinary garbage, and the pool's classes are refilled by fresh
 // class-capacity allocations — one bounded make per drain instead of a
-// regrowth series per drain.
+// regrowth series per drain. That is the exporter-attached pipeline's
+// steady state: teed segments are retained by the exporter until
+// written, so they are never owned and never recycled.
 //
 // Pool hygiene: every pooled slab has exactly a class capacity
 // (Recycle reslices odd append-grown capacities down to the class
@@ -105,9 +111,9 @@ func newSegment(n int) (seg event.Seq, pooled bool) {
 
 // Recycle returns a drained segment's backing array to the segment
 // pool. Only call it when the segment is exclusively owned and dead:
-// the caller drained it itself, no drain tee is installed (an exporter
-// retains drained segments until written), and nothing else holds a
-// reference. Recycling a shared segment corrupts whatever the other
+// the caller drained it itself, no drain tee saw it (an exporter
+// retains drained segments until written; DrainMonitorUpTo's owned
+// result answers exactly this), and nothing else holds a reference. Recycling a shared segment corrupts whatever the other
 // holder reads next — when in doubt, don't: an unrecycled segment is
 // merely garbage. The written prefix is cleared (it is pointer-dense;
 // a pooled slab must not pin event strings) and the capacity is
