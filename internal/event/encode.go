@@ -24,6 +24,13 @@ import (
 // trace header.
 var ErrBadMagic = errors.New("event: bad trace magic")
 
+// The binary decoders' plausibility caps: a longer string or trace is
+// refused as corrupt rather than allocated.
+const (
+	maxStringLen = 1 << 20
+	maxTraceLen  = 1 << 30
+)
+
 // binaryMagic identifies a binary trace stream; the trailing byte is a
 // format version.
 var binaryMagic = [4]byte{'R', 'M', 'T', 1}
@@ -163,7 +170,7 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		if err != nil {
 			return "", err
 		}
-		if n > 1<<20 {
+		if n > maxStringLen {
 			return "", fmt.Errorf("event: implausible string length %d", n)
 		}
 		buf := make([]byte, n)
@@ -176,7 +183,7 @@ func ReadBinary(r io.Reader) (Seq, error) {
 	if err != nil {
 		return nil, fmt.Errorf("event: read trace length: %w", err)
 	}
-	if count > 1<<30 {
+	if count > maxTraceLen {
 		return nil, fmt.Errorf("event: implausible trace length %d", count)
 	}
 	// Pre-size from the declared count, but cap the speculative
@@ -218,4 +225,101 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		out = append(out, e)
 	}
 	return out, nil
+}
+
+// CheckBinary validates a binary trace in place, without decoding it,
+// and reports its event count and the seqs of its first and last
+// events (zero for an empty trace). Every event must name monitor. It
+// accepts exactly the traces ReadBinary decodes and AppendBinary
+// re-encodes to the same bytes: ReadBinary's length caps apply, every
+// varint must be minimal, and no byte may follow the last event
+// (pinned by TestCheckBinary and the export package's
+// FuzzWriteRecordBytes). It never allocates on success, which
+// makes it the validator for a received trace that is stored as is.
+func CheckBinary(b []byte, monitor string) (count int, first, last int64, err error) {
+	if len(b) < len(binaryMagic) || [4]byte(b[:4]) != binaryMagic {
+		return 0, 0, 0, ErrBadMagic
+	}
+	c := binaryChecker{b: b, off: len(binaryMagic)}
+	n := c.uvarint("trace length")
+	if c.err == nil && n > maxTraceLen {
+		return 0, 0, 0, fmt.Errorf("event: implausible trace length %d", n)
+	}
+	for i := uint64(0); i < n && c.err == nil; i++ {
+		seq := c.varint("seq")
+		if mon := c.bytes("monitor"); c.err == nil && string(mon) != monitor {
+			return 0, 0, 0, fmt.Errorf("event: event %d belongs to monitor %q, want %q", seq, mon, monitor)
+		}
+		c.uvarint("type")
+		c.varint("pid")
+		c.bytes("proc")
+		c.bytes("cond")
+		c.uvarint("flag")
+		c.varint("time")
+		if i == 0 {
+			first = seq
+		}
+		last = seq
+	}
+	if c.err != nil {
+		return 0, 0, 0, c.err
+	}
+	if rest := len(b) - c.off; rest > 0 {
+		return 0, 0, 0, fmt.Errorf("event: %d trailing bytes after %d events", rest, n)
+	}
+	return int(n), first, last, nil
+}
+
+// binaryChecker walks a binary trace for CheckBinary. The first error
+// sticks and turns every later read into a no-op.
+type binaryChecker struct {
+	b   []byte
+	off int
+	err error
+}
+
+// uvarint reads one minimally encoded unsigned varint: a multi-byte
+// encoding whose last byte is zero has a shorter form, which is the
+// one AppendBinary would have written.
+func (c *binaryChecker) uvarint(what string) uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	switch {
+	case n == 0:
+		c.err = fmt.Errorf("event: read %s: %w", what, io.ErrUnexpectedEOF)
+	case n < 0:
+		c.err = fmt.Errorf("event: read %s: varint overflows 64 bits", what)
+	case n > 1 && c.b[c.off+n-1] == 0:
+		c.err = fmt.Errorf("event: read %s: non-minimal varint", what)
+	default:
+		c.off += n
+	}
+	return v
+}
+
+// varint reads one minimally encoded signed (zig-zag) varint.
+func (c *binaryChecker) varint(what string) int64 {
+	u := c.uvarint(what)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// bytes reads one length-prefixed string in place.
+func (c *binaryChecker) bytes(what string) []byte {
+	n := c.uvarint(what)
+	if c.err != nil {
+		return nil
+	}
+	if n > maxStringLen {
+		c.err = fmt.Errorf("event: read %s: implausible string length %d", what, n)
+		return nil
+	}
+	if n > uint64(len(c.b)-c.off) {
+		c.err = fmt.Errorf("event: read %s: %w", what, io.ErrUnexpectedEOF)
+		return nil
+	}
+	s := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
+	return s
 }

@@ -197,3 +197,43 @@ func TestAppendBinaryIsAllocFreeIntoSizedBuffer(t *testing.T) {
 		t.Fatalf("AppendBinary into a sized buffer allocates %.1f times per call, want 0", avg)
 	}
 }
+
+// TestCheckBinary: CheckBinary reports the count and seq range of a
+// trace AppendBinary wrote, without allocating, and refuses every
+// encoding that would not re-encode to itself as well as events of
+// another monitor. Byte-level parity with ReadBinary is fuzzed by the
+// export package's FuzzWriteRecordBytes.
+func TestCheckBinary(t *testing.T) {
+	t.Parallel()
+	s := sampleSeq()
+	b := AppendBinary(nil, s)
+	mon := s[0].Monitor
+	n, first, last, err := CheckBinary(b, mon)
+	if err != nil || n != len(s) || first != s[0].Seq || last != s[len(s)-1].Seq {
+		t.Fatalf("CheckBinary = %d, %d..%d, %v; want %d, %d..%d", n, first, last, err, len(s), s[0].Seq, s[len(s)-1].Seq)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _, _ = CheckBinary(b, mon) }); allocs != 0 {
+		t.Fatalf("CheckBinary allocated %.1f times per call", allocs)
+	}
+	// The trace length as a two-byte varint: ReadBinary decodes it, but
+	// AppendBinary would write one byte.
+	nonMinimal := append(append(append([]byte(nil), b[:4]...), b[4]|0x80, 0), b[5:]...)
+	if _, err := ReadBinary(bytes.NewReader(nonMinimal)); err != nil {
+		t.Fatalf("ReadBinary refused the non-minimal trace: %v", err)
+	}
+	bad := map[string][]byte{
+		"non-minimal varint": nonMinimal,
+		"trailing byte":      append(append([]byte(nil), b...), 0),
+		"truncated":          b[:len(b)-1],
+		"bad magic":          append([]byte("RMT\x02"), b[4:]...),
+		"empty":              nil,
+	}
+	for name, in := range bad {
+		if _, _, _, err := CheckBinary(in, mon); err == nil {
+			t.Errorf("CheckBinary accepted a %s trace", name)
+		}
+	}
+	if _, _, _, err := CheckBinary(b, mon+"x"); err == nil {
+		t.Error("CheckBinary accepted events of another monitor")
+	}
+}

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"robustmon/internal/event"
+	obsrules "robustmon/internal/obs/rules"
 )
 
 // fuzzSeedWAL builds a well-formed single-file WAL (two records, two
@@ -208,4 +210,100 @@ func FuzzReadWALFile(f *testing.F) {
 		}
 		_, _ = torn, markers
 	})
+}
+
+// FuzzWriteRecordBytes pins WALSink.WriteRecordBytes, which stores a
+// received record without decoding its events, to the WAL reader's
+// validation in both directions. Whatever it accepts, readRecord
+// accepts too, re-encoding the decoded record reproduces the input,
+// and the file holds the input byte for byte. Whatever canonical
+// record readRecord accepts, WriteRecordBytes accepts.
+func FuzzWriteRecordBytes(f *testing.F) {
+	at := time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC)
+	seeds := []Record{
+		{Segment: &Segment{Monitor: "buf", Events: event.Seq{
+			{Seq: 1, Monitor: "buf", Type: event.Enter, Pid: 1, Proc: "Put", Flag: event.Completed, Time: at},
+			{Seq: 2, Monitor: "buf", Type: event.Wait, Pid: 1, Proc: "Put", Cond: "notFull", Time: at.Add(time.Millisecond)},
+			{Seq: 4, Monitor: "buf", Type: event.Enter, Pid: 2, Proc: "Get", Flag: event.Completed, Time: at.Add(2 * time.Millisecond)},
+			{Seq: 5, Monitor: "buf", Type: event.SignalExit, Pid: 2, Proc: "Get", Cond: "notFull", Time: at.Add(3 * time.Millisecond)},
+		}}},
+		{Segment: &Segment{Monitor: "a", Events: tseq("a", 1, 3)}},
+		{Marker: ptr(historyMarkerSeed())},
+		{Health: ptr(healthRecordSeed())},
+		{Alert: ptr(obsrules.Alert{At: at, Seq: 9, Rule: "r", Metric: "m", Value: 2, Ceiling: 1, Firing: true, Origin: "node-a"})},
+		{Tombstone: &Tombstone{Horizon: 10, Events: 9, Records: 3, Files: 1, At: at,
+			Monitors: []TruncatedRange{{Monitor: "a", MinSeq: 1, MaxSeq: 9, Events: 9}}}},
+	}
+	for _, r := range seeds {
+		b, err := appendRecord(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add(nonMinimalSegmentRecord(*seeds[0].Segment))
+	f.Add([]byte{})
+	f.Add([]byte{recSegment, 1, 0, 'a'})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Re-seal the payload length and CRC behind any header that
+		// parses, so mutations reach the payload checks instead of
+		// dying at the CRC.
+		if h, n, err := parseHeader(data, walVersionLatest); err == nil {
+			data = append(appendRecordHeader(nil, h.typ, h.monitor, h.first, h.last, h.count, data[n:]), data[n:]...)
+		}
+		dir := t.TempDir()
+		w, err := NewWALSink(dir, WALConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := w.WriteRecordBytes(data)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(bytes.NewReader(data))
+		rec, terr, rerr := readRecord(br, walVersionLatest)
+		readerOK := terr == nil && rerr == nil
+		var canonical []byte
+		if readerOK {
+			if canonical, err = appendRecord(nil, rec.record()); err != nil {
+				t.Fatalf("re-encode of a record the reader accepted failed: %v", err)
+			}
+		}
+		isCanonical := readerOK && bytes.Equal(canonical, data)
+		if werr != nil {
+			if isCanonical {
+				t.Fatalf("WriteRecordBytes refused a canonical record the reader accepts: %v", werr)
+			}
+			return
+		}
+		if !readerOK {
+			t.Fatalf("WriteRecordBytes accepted what the reader refuses: torn %v, corrupt %v", terr, rerr)
+		}
+		if !isCanonical {
+			t.Fatalf("WriteRecordBytes accepted a record that re-encodes to different bytes:\n in  %x\n out %x", data, canonical)
+		}
+		names, err := walFiles(dir)
+		if err != nil || len(names) != 1 {
+			t.Fatalf("walFiles = %v, %v; want one file", names, err)
+		}
+		disk, err := os.ReadFile(names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(disk[len(walMagicPrefix)+1:], data) {
+			t.Fatal("stored bytes differ from the received record")
+		}
+	})
+}
+
+// nonMinimalSegmentRecord frames seg with its trace length written as
+// a two-byte varint: the WAL reader decodes it to the same events,
+// which re-encode to different bytes. seg must hold under 128 events.
+func nonMinimalSegmentRecord(seg Segment) []byte {
+	p := event.AppendBinary(nil, seg.Events)
+	p = append(append(append([]byte(nil), p[:4]...), p[4]|0x80, 0), p[5:]...)
+	rec := appendRecordHeader(nil, recSegment, seg.Monitor, seg.First(), seg.Last(), uint32(len(seg.Events)), p)
+	return append(rec, p...)
 }

@@ -14,8 +14,8 @@
 // must be cheap to consume, not just cheap to produce.
 //
 // The index is advisory and deliberately sparse. It is maintained
-// incrementally by the WAL sink (wire Maintainer.OnRotate into
-// export.WALConfig.OnRotate) and covers only sealed files — the active
+// incrementally by the WAL sink (wire the Maintainer into
+// export.WALConfig.OnSeal) and covers only sealed files — the active
 // segment is never indexed; a SeekReader simply scans whatever the
 // index does not cover. Every entry is validated against the file on
 // disk (size; optionally the header-chain CRC) before it is trusted,
@@ -528,15 +528,6 @@ func (m *Maintainer) OnSeal(fs export.FileSummary) error {
 		return err
 	}
 	return nil
-}
-
-// OnRotate records one sealed file into the index.
-//
-// Deprecated: wire the Maintainer into export.WALConfig.OnSeal
-// instead; OnRotate survives for the single-consumer
-// WALConfig.OnRotate seam it was built for.
-func (m *Maintainer) OnRotate(fs export.FileSummary) {
-	_ = m.OnSeal(fs)
 }
 
 // Err returns the most recent index-write error, if any.

@@ -362,6 +362,10 @@ func (c *Collector) CompactOrigins(fn func(dir string) error) {
 	}
 }
 
+// maxRetainedFrame is the largest frame storage a connection keeps for
+// reuse; a bigger record is read into storage the GC takes back.
+const maxRetainedFrame = 1 << 20
+
 // handle runs one producer connection: HELLO/WELCOME, then record
 // frames until the connection drops.
 func (c *Collector) handle(conn net.Conn) {
@@ -369,7 +373,7 @@ func (c *Collector) handle(conn net.Conn) {
 	c.connsTotal.Inc()
 	br := bufio.NewReader(conn)
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	body, err := readFrame(br)
+	body, err := readFrame(br, nil)
 	if err != nil {
 		return
 	}
@@ -411,10 +415,18 @@ func (c *Collector) handle(conn net.Conn) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 
+	var buf []byte // frame storage, reused across the connection's frames
 	for {
-		body, err := readFrame(br)
+		body, err := readFrame(br, buf)
 		if err != nil {
 			return // torn frame or dropped connection: resync on reconnect
+		}
+		// Nothing retains a frame once it is applied, so the next one
+		// reads into the same storage — unless a giant record grew it:
+		// that size must not stay pinned for the rest of the connection.
+		buf = body
+		if cap(buf) > maxRetainedFrame {
+			buf = nil
 		}
 		switch {
 		case len(body) > 0 && body[0] == frameRecord:
@@ -449,7 +461,8 @@ func (c *Collector) handle(conn net.Conn) {
 	}
 }
 
-// apply decodes one record frame and lands it in the origin's WAL,
+// apply validates one record frame's record and stores its bytes,
+// unchanged, in the origin's WAL (export.WALSink.WriteRecordBytes),
 // acking when the cadence is due. Duplicates (a resent tail whose ack
 // was lost) are skipped and counted; sequences may jump forward only
 // past a lost resume-state file, where the producer's trim — which
@@ -462,11 +475,8 @@ func (c *Collector) apply(st *originState, conn net.Conn, seq uint64, recBytes [
 		st.dups.Inc()
 		return nil
 	}
-	rec, err := export.DecodeRecord(recBytes)
+	rec, err := st.sink.WriteRecordBytes(recBytes)
 	if err != nil {
-		return err
-	}
-	if err := rec.Apply(st.sink); err != nil {
 		return err
 	}
 	st.applied = seq

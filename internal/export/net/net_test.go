@@ -122,31 +122,31 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	wire = appendFrame(wire, appendErrorFrame(nil, "nope"))
 
 	br := bufio.NewReader(bytes.NewReader(wire))
-	b, err := readFrame(br)
+	b, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if origin, err := parseHello(b); err != nil || origin != "node-1" {
 		t.Fatalf("hello = %q, %v", origin, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if seq, err := parseWelcome(b); err != nil || seq != 42 {
 		t.Fatalf("welcome = %d, %v", seq, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	seq, rec, err := parseRecordFrame(b)
 	if err != nil || seq != 7 || string(rec) != "payload" {
 		t.Fatalf("record = %d, %q, %v", seq, rec, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if seq, err := parseAck(b); err != nil || seq != 7 {
 		t.Fatalf("ack = %d, %v", seq, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if len(b) != 1 || b[0] != frameFlush {
 		t.Fatalf("flush frame = %v", b)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if msg := parseErrorFrame(b); msg != "nope" {
 		t.Fatalf("error frame = %q", msg)
 	}
@@ -154,7 +154,7 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	// A flipped byte is a CRC failure, not a mis-parse.
 	bad := appendFrame(nil, appendAck(nil, 9))
 	bad[5] ^= 0xff
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad)), nil); err == nil {
 		t.Fatal("corrupted frame passed CRC")
 	}
 }
@@ -503,7 +503,7 @@ func TestDuplicateOriginRefused(t *testing.T) {
 	if _, err := conn.Write(appendFrame(nil, appendHello(nil, "solo"))); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(bufio.NewReader(conn))
+	body, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,11 @@
 // codec the local WAL uses (export.AppendSegmentRecord and friends),
 // numbered with a per-origin ship sequence, buffered until the
 // collector acknowledges them durable, and replayed after partitions.
-// The Collector runs the familiar server-side stack — WALSink, index
-// maintainer, compaction-ready per-origin directories — so montrace
-// and SeekReader queries work unchanged against each origin's
-// subdirectory.
+// The Collector validates each record and stores its bytes as they
+// arrived (export.WALSink.WriteRecordBytes), inside the familiar
+// server-side stack — WALSink, index maintainer, compaction-ready
+// per-origin directories — so montrace and SeekReader queries work
+// unchanged against each origin's subdirectory.
 //
 // Delivery is at-least-once: an ack can be lost to a partition after
 // the records it covers became durable, so the producer resends its
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Wire framing: every frame is
@@ -65,13 +67,32 @@ var (
 
 // appendFrame wraps body in the length/CRC framing.
 func appendFrame(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
+	return closeFrame(append(openFrame(dst), body...), len(dst))
+}
+
+// openFrame appends a frame's length placeholder, so a caller can build
+// the body in place behind it and seal it with closeFrame.
+func openFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// closeFrame seals the frame opened at dst[start:]: it fills in the
+// body length and appends the body CRC.
+func closeFrame(dst []byte, start int) []byte {
+	body := dst[start+4:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
-// readFrame reads one CRC-validated frame body.
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// maxFramePrealloc bounds how far a frame read allocates ahead of the
+// bytes that have actually arrived: the length field is unauthenticated
+// until the CRC checks out, so a peer that sends only a length must
+// not make the reader allocate it.
+const maxFramePrealloc = 64 << 10
+
+// readFrame reads one CRC-validated frame body into buf's storage,
+// growing it only as the bytes arrive, and returns it (buf may be nil;
+// a caller that reuses the result as the next buf allocates nothing
+// per frame).
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
@@ -80,12 +101,21 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n == 0 || n > maxFrameBody {
 		return nil, fmt.Errorf("%w: body length %d", errFrameTooLarge, n)
 	}
-	body := make([]byte, n+4)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+	need := int(n) + 4
+	buf = buf[:0]
+	for len(buf) < need {
+		chunk := min(need-len(buf), max(len(buf), maxFramePrealloc))
+		buf = slices.Grow(buf, chunk)
+		if _, err := io.ReadFull(br, buf[len(buf):len(buf)+chunk]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		buf = buf[:len(buf)+chunk]
 	}
-	sum := binary.LittleEndian.Uint32(body[n:])
-	body = body[:n]
+	sum := binary.LittleEndian.Uint32(buf[n:])
+	body := buf[:n]
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("%w (got %08x, frame says %08x)", errFrameCRC, got, sum)
 	}

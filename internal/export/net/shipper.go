@@ -355,7 +355,7 @@ func (s *NetSink) connect() (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	body, err := readFrame(bufio.NewReader(conn))
+	body, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -418,9 +418,10 @@ func (s *NetSink) serve(conn net.Conn) {
 	go func() {
 		defer close(readerDone)
 		br := bufio.NewReader(conn)
+		var body []byte
 		for {
-			body, err := readFrame(br)
-			if err != nil {
+			var err error
+			if body, err = readFrame(br, body); err != nil {
 				break
 			}
 			if len(body) > 0 && body[0] == frameError {
@@ -469,7 +470,7 @@ func (s *NetSink) serve(conn net.Conn) {
 		s.mu.Unlock()
 
 		for _, r := range batch {
-			frame = appendFrame(frame[:0], appendRecordFrame(nil, r.seq, r.data))
+			frame = closeFrame(appendRecordFrame(openFrame(frame[:0]), r.seq, r.data), 0)
 			if _, err := conn.Write(frame); err != nil {
 				s.rewind()
 				goto out

@@ -507,6 +507,14 @@ type recHeader struct {
 	raw         []byte
 }
 
+// maxHeaderLen is the longest record header: type byte, monitor length
+// and name, seq range, count, payload length and CRC.
+const maxHeaderLen = 1 + 2 + maxMonitorName + 8 + 8 + 4 + 4 + 4
+
+// errShortHeader is parseHeader's verdict on input that ends before
+// the header does.
+var errShortHeader = errors.New("export: record header cut short")
+
 // readHeader reads one record header of the given format version. A
 // short read at any point is a torn record and comes back in terr:
 // io.EOF exactly at a record boundary (a clean end of file),
@@ -515,72 +523,77 @@ type recHeader struct {
 // by a torn tail produce exactly the same shapes — so readHeader never
 // reports corruption; that verdict needs the payload CRC.
 func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
-	h := &recHeader{typ: recSegment, raw: make([]byte, 0, 64)}
-	var scratch [8]byte
-	read := func(n int) error {
-		if _, err := io.ReadFull(br, scratch[:n]); err != nil {
-			return err
+	// Peek returns what the stream still holds (up to a longest
+	// header), so parseHeader sees exactly the bytes a field-by-field
+	// read would have consumed before failing.
+	b, perr := br.Peek(maxHeaderLen)
+	h, n, err := parseHeader(b, version)
+	if errors.Is(err, errShortHeader) {
+		switch {
+		case perr != nil && perr != io.EOF:
+			return nil, perr
+		case len(b) == 0:
+			return nil, io.EOF // clean record boundary
 		}
-		h.raw = append(h.raw, scratch[:n]...)
-		return nil
+		return nil, io.ErrUnexpectedEOF
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The peeked bytes are the reader's buffer, which the payload read
+	// reuses: raw must own its copy.
+	h.raw = append(make([]byte, 0, n), b[:n]...)
+	_, _ = br.Discard(n)
+	return &h, nil
+}
+
+// parseHeader parses one record header of the given format version
+// from the front of b and returns it with its length; h.raw aliases b.
+// Input that ends early is errShortHeader; the plausibility checks run
+// in field order, so a bad field ahead of the cut wins.
+func parseHeader(b []byte, version byte) (h recHeader, n int, err error) {
+	h.typ = recSegment
 	if version >= walVersion2 {
-		if err := read(1); err != nil {
-			return nil, err // io.EOF here = clean boundary
+		if len(b) < 1 {
+			return h, 0, errShortHeader
 		}
-		h.typ = scratch[0]
+		h.typ = b[0]
 		if h.typ != recSegment && h.typ != recMarker && h.typ != recHealth && h.typ != recTombstone && h.typ != recAlert {
 			// No writer emits such a type, but a torn tail leaves
 			// arbitrary bytes behind — torn at the tail, corruption
 			// elsewhere (the caller decides which).
-			return nil, fmt.Errorf("export: unknown record type %d", h.typ)
+			return h, 0, fmt.Errorf("export: unknown record type %d", h.typ)
 		}
+		n = 1
 	}
-	if err := read(2); err != nil {
-		if version >= walVersion2 {
-			// The type byte was already consumed: EOF here is mid-record.
-			err = noEOFBoundary(err)
-		}
-		return nil, err // v1: io.EOF here = clean boundary
+	if len(b) < n+2 {
+		return h, 0, errShortHeader
 	}
-	monLen := int(binary.LittleEndian.Uint16(scratch[:2]))
+	monLen := int(binary.LittleEndian.Uint16(b[n:]))
 	if monLen > maxMonitorName {
 		// The writer refuses such names, so these bytes were never the
 		// start of a record — but a torn header leaves arbitrary bytes
 		// behind, so at the tail this still reads as a torn record.
-		return nil, fmt.Errorf("export: monitor name %d bytes long (limit %d)", monLen, maxMonitorName)
+		return h, 0, fmt.Errorf("export: monitor name %d bytes long (limit %d)", monLen, maxMonitorName)
 	}
-	mon := make([]byte, monLen)
-	if _, err := io.ReadFull(br, mon); err != nil {
-		return nil, noEOFBoundary(err)
+	n += 2
+	if len(b) < n+monLen+28 {
+		return h, 0, errShortHeader
 	}
-	h.raw = append(h.raw, mon...)
-	h.monitor = string(mon)
-	if err := read(8); err != nil {
-		return nil, noEOFBoundary(err)
-	}
-	h.first = int64(binary.LittleEndian.Uint64(scratch[:8]))
-	if err := read(8); err != nil {
-		return nil, noEOFBoundary(err)
-	}
-	h.last = int64(binary.LittleEndian.Uint64(scratch[:8]))
-	if err := read(4); err != nil {
-		return nil, noEOFBoundary(err)
-	}
-	h.count = binary.LittleEndian.Uint32(scratch[:4])
-	if err := read(4); err != nil {
-		return nil, noEOFBoundary(err)
-	}
-	h.payloadLen = binary.LittleEndian.Uint32(scratch[:4])
-	if err := read(4); err != nil {
-		return nil, noEOFBoundary(err)
-	}
-	h.sum = binary.LittleEndian.Uint32(scratch[:4])
+	h.monitor = string(b[n : n+monLen])
+	n += monLen
+	h.first = int64(binary.LittleEndian.Uint64(b[n:]))
+	h.last = int64(binary.LittleEndian.Uint64(b[n+8:]))
+	h.count = binary.LittleEndian.Uint32(b[n+16:])
+	h.payloadLen = binary.LittleEndian.Uint32(b[n+20:])
+	h.sum = binary.LittleEndian.Uint32(b[n+24:])
+	n += 28
+	h.raw = b[:n]
 	// Guard the allocation before trusting the length field: a torn or
 	// bit-flipped header must not make the reader balloon.
 	const maxPayload = 1 << 30
 	if h.payloadLen > maxPayload {
-		return nil, fmt.Errorf("export: implausible payload length %d", h.payloadLen)
+		return h, 0, fmt.Errorf("export: implausible payload length %d", h.payloadLen)
 	}
 	if h.typ == recSegment && h.count == 0 {
 		// The writer skips empty segments, so no real segment record has
@@ -590,9 +603,9 @@ func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
 		// are exempt: a reset that found nothing buffered legitimately
 		// drops 0 events, and a tombstone's count merely mirrors its
 		// (possibly zero, possibly saturated) dropped total.
-		return nil, fmt.Errorf("export: zero-count record (zero-filled torn tail)")
+		return h, 0, fmt.Errorf("export: zero-count record (zero-filled torn tail)")
 	}
-	return h, nil
+	return h, n, nil
 }
 
 // decodedRecord is readRecord's success result: exactly one of the
@@ -639,60 +652,12 @@ func readRecord(br *bufio.Reader, version byte) (rec decodedRecord, terr, rerr e
 		return rec, nil, fmt.Errorf("%w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
 	}
 
-	// The CRC passed, so header/payload disagreement below is a writer
-	// bug, not a torn write.
-	if h.typ == recMarker {
-		m, err := decodeMarker(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode marker payload: %w", err)
-		}
-		if m.Monitor != h.monitor || m.Horizon != h.first || m.Horizon != h.last || m.Dropped != int(h.count) {
-			return rec, nil, fmt.Errorf("marker header (monitor %q, horizon %d..%d, %d dropped) disagrees with payload (monitor %q, horizon %d, %d dropped)",
-				h.monitor, h.first, h.last, h.count, m.Monitor, m.Horizon, m.Dropped)
-		}
-		rec.marker = &m
-		return rec, nil, nil
+	// The CRC passed, so header/payload disagreement is a writer bug,
+	// not a torn write.
+	if h.typ != recSegment {
+		rec, err = decodeAnnotation(h, payload)
+		return rec, nil, err
 	}
-
-	if h.typ == recHealth {
-		hr, err := decodeHealth(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode health payload: %w", err)
-		}
-		if h.monitor != "" || hr.Seq != h.first || hr.Seq != h.last || h.count != 0 {
-			return rec, nil, fmt.Errorf("health header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
-				h.monitor, h.first, h.last, h.count, hr.Seq)
-		}
-		rec.health = &hr
-		return rec, nil, nil
-	}
-
-	if h.typ == recAlert {
-		a, err := decodeAlert(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode alert payload: %w", err)
-		}
-		if h.monitor != "" || a.Seq != h.first || a.Seq != h.last || h.count != 0 {
-			return rec, nil, fmt.Errorf("alert header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
-				h.monitor, h.first, h.last, h.count, a.Seq)
-		}
-		rec.alert = &a
-		return rec, nil, nil
-	}
-
-	if h.typ == recTombstone {
-		tb, err := decodeTombstone(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode tombstone payload: %w", err)
-		}
-		if h.monitor != "" || tb.Horizon != h.first || tb.Horizon != h.last || h.count != saturatingUint32(tb.Events) {
-			return rec, nil, fmt.Errorf("tombstone header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d, %d events)",
-				h.monitor, h.first, h.last, h.count, tb.Horizon, tb.Events)
-		}
-		rec.tomb = &tb
-		return rec, nil, nil
-	}
-
 	events, err := event.ReadBinary(bytes.NewReader(payload))
 	if err != nil {
 		return rec, nil, fmt.Errorf("decode payload: %w", err)
@@ -709,6 +674,69 @@ func readRecord(br *bufio.Reader, version byte) (rec decodedRecord, terr, rerr e
 	}
 	rec.events = events
 	return rec, nil, nil
+}
+
+// decodeAnnotation decodes the CRC-valid payload of a marker, health,
+// alert or tombstone record and checks it against its header.
+func decodeAnnotation(h *recHeader, payload []byte) (rec decodedRecord, err error) {
+	switch h.typ {
+	case recMarker:
+		m, err := decodeMarker(payload)
+		if err != nil {
+			return rec, fmt.Errorf("decode marker payload: %w", err)
+		}
+		if m.Monitor != h.monitor || m.Horizon != h.first || m.Horizon != h.last || m.Dropped != int(h.count) {
+			return rec, fmt.Errorf("marker header (monitor %q, horizon %d..%d, %d dropped) disagrees with payload (monitor %q, horizon %d, %d dropped)",
+				h.monitor, h.first, h.last, h.count, m.Monitor, m.Horizon, m.Dropped)
+		}
+		rec.marker = &m
+	case recHealth:
+		hr, err := decodeHealth(payload)
+		if err != nil {
+			return rec, fmt.Errorf("decode health payload: %w", err)
+		}
+		if h.monitor != "" || hr.Seq != h.first || hr.Seq != h.last || h.count != 0 {
+			return rec, fmt.Errorf("health header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
+				h.monitor, h.first, h.last, h.count, hr.Seq)
+		}
+		rec.health = &hr
+	case recAlert:
+		a, err := decodeAlert(payload)
+		if err != nil {
+			return rec, fmt.Errorf("decode alert payload: %w", err)
+		}
+		if h.monitor != "" || a.Seq != h.first || a.Seq != h.last || h.count != 0 {
+			return rec, fmt.Errorf("alert header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
+				h.monitor, h.first, h.last, h.count, a.Seq)
+		}
+		rec.alert = &a
+	case recTombstone:
+		tb, err := decodeTombstone(payload)
+		if err != nil {
+			return rec, fmt.Errorf("decode tombstone payload: %w", err)
+		}
+		if h.monitor != "" || tb.Horizon != h.first || tb.Horizon != h.last || h.count != saturatingUint32(tb.Events) {
+			return rec, fmt.Errorf("tombstone header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d, %d events)",
+				h.monitor, h.first, h.last, h.count, tb.Horizon, tb.Events)
+		}
+		rec.tomb = &tb
+	}
+	return rec, nil
+}
+
+// record converts a decoded record to its exported form.
+func (d decodedRecord) record() Record {
+	switch {
+	case d.marker != nil:
+		return Record{Marker: d.marker}
+	case d.health != nil:
+		return Record{Health: d.health}
+	case d.tomb != nil:
+		return Record{Tombstone: d.tomb}
+	case d.alert != nil:
+		return Record{Alert: d.alert}
+	}
+	return Record{Segment: &Segment{Monitor: d.events[0].Monitor, Events: d.events}}
 }
 
 // noEOFBoundary maps io.EOF mid-record to io.ErrUnexpectedEOF so only
@@ -777,17 +805,7 @@ func (r *RecordReader) ReadAt(offset int64) (Record, error) {
 	if terr != nil {
 		return Record{}, fmt.Errorf("export: %s offset %d: torn record: %w", r.name, offset, terr)
 	}
-	switch {
-	case rec.marker != nil:
-		return Record{Marker: rec.marker}, nil
-	case rec.health != nil:
-		return Record{Health: rec.health}, nil
-	case rec.tomb != nil:
-		return Record{Tombstone: rec.tomb}, nil
-	case rec.alert != nil:
-		return Record{Alert: rec.alert}, nil
-	}
-	return Record{Segment: &Segment{Monitor: rec.events[0].Monitor, Events: rec.events}}, nil
+	return rec.record(), nil
 }
 
 // Close releases the underlying file.

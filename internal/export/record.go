@@ -2,16 +2,14 @@ package export
 
 // The standalone record codec. A WAL file is a magic header followed
 // by framed records; this file exposes the record framing itself —
-// encode one record to bytes, decode one record from bytes — so the
-// same encoding that lands on local disk can travel a wire (see
-// internal/export/net) and be re-applied to a sink on the far side
-// byte-for-byte identically. Sharing appendRecordHeader with
+// encode one record to bytes — so the same encoding that lands on
+// local disk can travel a wire (see internal/export/net) and be stored
+// on the far side byte-for-byte identically by
+// WALSink.WriteRecordBytes. Sharing appendRecordHeader with
 // WALSink.writeRecord is what makes that identity a structural
 // property rather than a convention: there is exactly one encoder.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -116,8 +114,9 @@ func AppendTombstoneRecord(dst []byte, t Tombstone) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendRecord appends whichever kind r carries.
-func AppendRecord(dst []byte, r Record) ([]byte, error) {
+// appendRecord appends whichever kind r carries: the canonical bytes
+// of a decoded record.
+func appendRecord(dst []byte, r Record) ([]byte, error) {
 	switch {
 	case r.Segment != nil:
 		return AppendSegmentRecord(dst, *r.Segment)
@@ -131,73 +130,4 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 		return AppendAlertRecord(dst, *r.Alert)
 	}
 	return dst, fmt.Errorf("export: encode record: empty record")
-}
-
-// DecodeRecord decodes exactly one framed record from b, applying the
-// same CRC and header/payload-agreement validation the WAL reader
-// applies on disk. Trailing bytes are an error: a frame carries one
-// record.
-func DecodeRecord(b []byte) (Record, error) {
-	r := bytes.NewReader(b)
-	br := bufio.NewReader(r)
-	rec, terr, rerr := readRecord(br, walVersionLatest)
-	if rerr != nil {
-		return Record{}, fmt.Errorf("export: decode record: %w", rerr)
-	}
-	if terr != nil {
-		return Record{}, fmt.Errorf("export: decode record: truncated: %w", terr)
-	}
-	if rest := br.Buffered() + r.Len(); rest > 0 {
-		return Record{}, fmt.Errorf("export: decode record: %d trailing bytes", rest)
-	}
-	switch {
-	case rec.marker != nil:
-		return Record{Marker: rec.marker}, nil
-	case rec.health != nil:
-		return Record{Health: rec.health}, nil
-	case rec.tomb != nil:
-		return Record{Tombstone: rec.tomb}, nil
-	case rec.alert != nil:
-		return Record{Alert: rec.alert}, nil
-	case len(rec.events) > 0:
-		return Record{Segment: &Segment{Monitor: rec.events[0].Monitor, Events: rec.events}}, nil
-	}
-	return Record{}, fmt.Errorf("export: decode record: empty segment")
-}
-
-// Apply writes the record to sink, routing markers and health
-// snapshots through the sink's optional extensions. Unlike the
-// exporter's best-effort type sniffing, a record that the sink cannot
-// store is an error: Apply exists for replication, where a silent drop
-// would break the byte-identity of the replica.
-func (r Record) Apply(sink Sink) error {
-	switch {
-	case r.Segment != nil:
-		return sink.WriteSegment(*r.Segment)
-	case r.Marker != nil:
-		ms, ok := sink.(MarkerSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store recovery markers", sink)
-		}
-		return ms.WriteMarker(*r.Marker)
-	case r.Health != nil:
-		hs, ok := sink.(HealthSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store health snapshots", sink)
-		}
-		return hs.WriteHealth(*r.Health)
-	case r.Tombstone != nil:
-		ts, ok := sink.(TombstoneSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store retention tombstones", sink)
-		}
-		return ts.WriteTombstone(*r.Tombstone)
-	case r.Alert != nil:
-		as, ok := sink.(AlertSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store threshold alerts", sink)
-		}
-		return as.WriteAlert(*r.Alert)
-	}
-	return fmt.Errorf("export: apply record: empty record")
 }

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"robustmon/internal/history"
 	"robustmon/internal/obs"
 )
 
@@ -66,9 +68,11 @@ func TestRecordCodecByteIdenticalToWAL(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip: Append*Record → DecodeRecord is the identity
-// for each record kind, and Apply routes each kind to the right sink
-// method.
+// TestRecordRoundTrip: every record kind the standalone codec
+// encodes, WriteRecordBytes stores byte for byte and the WAL reader
+// decodes back to the original; the decoded annotation comes back to
+// the caller. Trailing bytes, truncation, emptiness and non-canonical
+// encodings are all refused.
 func TestRecordRoundTrip(t *testing.T) {
 	t.Parallel()
 	records := []Record{
@@ -76,52 +80,76 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Marker: ptr(historyMarkerSeed())},
 		{Health: ptr(healthRecordSeed())},
 	}
-	mem := &MemorySink{}
-	for _, want := range records {
-		b, err := AppendRecord(nil, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeRecord(b)
-		if err != nil {
-			t.Fatalf("DecodeRecord: %v", err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("record round trip changed it:\n got %+v\nwant %+v", got, want)
-		}
-		if err := got.Apply(mem); err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-	}
-	if got := len(mem.Segments()); got != 1 {
-		t.Fatalf("Apply stored %d segments, want 1", got)
-	}
-	if got := len(mem.Markers()); got != 1 {
-		t.Fatalf("Apply stored %d markers, want 1", got)
-	}
-	if got := len(mem.Healths()); got != 1 {
-		t.Fatalf("Apply stored %d health snapshots, want 1", got)
-	}
-
-	// Trailing bytes, truncation and emptiness are all errors.
-	b, err := AppendRecord(nil, records[0])
+	dir := t.TempDir()
+	sink, err := NewWALSink(dir, WALConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRecord(append(b, 0)); err == nil {
-		t.Fatal("DecodeRecord accepted trailing bytes")
+	want := append([]byte(nil), walMagicPrefix[:]...)
+	want = append(want, walVersionLatest)
+	for _, r := range records {
+		b, err := appendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sink.WriteRecordBytes(b)
+		if err != nil {
+			t.Fatalf("WriteRecordBytes: %v", err)
+		}
+		if r.Segment == nil && !reflect.DeepEqual(got, r) {
+			t.Fatalf("WriteRecordBytes returned %+v, want %+v", got, r)
+		}
+		if r.Segment != nil && !reflect.DeepEqual(got, Record{}) {
+			t.Fatalf("WriteRecordBytes decoded a segment: %+v", got)
+		}
+		want = append(want, b...)
 	}
-	if _, err := DecodeRecord(b[:len(b)-1]); err == nil {
-		t.Fatal("DecodeRecord accepted a truncated record")
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeRecord(nil); err == nil {
-		t.Fatal("DecodeRecord accepted empty input")
+	names, err := walFiles(dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("walFiles = %v, %v; want one file", names, err)
 	}
-	if _, err := AppendRecord(nil, Record{}); err == nil {
-		t.Fatal("AppendRecord accepted an empty record")
+	disk, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Record{}).Apply(mem); err == nil {
-		t.Fatal("Apply accepted an empty record")
+	if !bytes.Equal(disk, want) {
+		t.Fatalf("stored %d bytes, want the %d received", len(disk), len(want))
+	}
+	rep, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Events, records[0].Segment.Events) ||
+		!reflect.DeepEqual(rep.Markers, []history.RecoveryMarker{*records[1].Marker}) ||
+		!reflect.DeepEqual(rep.Healths, []obs.HealthRecord{*records[2].Health}) {
+		t.Fatalf("read back %d events, %d markers, %d healths; want the records written",
+			len(rep.Events), len(rep.Markers), len(rep.Healths))
+	}
+
+	b, err := appendRecord(nil, records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonMinimal := nonMinimalSegmentRecord(*records[0].Segment)
+	if _, _, rerr := readRecord(bufio.NewReader(bytes.NewReader(nonMinimal)), walVersionLatest); rerr != nil {
+		t.Fatalf("reader refused the non-minimal record: %v", rerr)
+	}
+	bad := map[string][]byte{
+		"trailing":           append(append([]byte(nil), b...), 0),
+		"truncated":          b[:len(b)-1],
+		"empty":              nil,
+		"non-minimal varint": nonMinimal,
+	}
+	for name, in := range bad {
+		if _, err := sink.WriteRecordBytes(in); err == nil {
+			t.Fatalf("WriteRecordBytes accepted %s input", name)
+		}
+	}
+	if _, err := appendRecord(nil, Record{}); err == nil {
+		t.Fatal("appendRecord accepted an empty record")
 	}
 }
 
@@ -185,35 +213,6 @@ func TestWALOnSealFanOut(t *testing.T) {
 	}
 }
 
-// TestWALOnSealAlongsideOnRotate: the deprecated single consumer and
-// the fan-out coexist — both see the same summaries.
-func TestWALOnSealAlongsideOnRotate(t *testing.T) {
-	t.Parallel()
-	var rotated, sealed []string
-	sink, err := NewWALSink(t.TempDir(), WALConfig{
-		MaxFileBytes: 1,
-		OnRotate:     func(fs FileSummary) { rotated = append(rotated, fs.Name) },
-		OnSeal: []SealedSink{SealedSinkFunc(func(fs FileSummary) error {
-			sealed = append(sealed, fs.Name)
-			return nil
-		})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 2; i++ {
-		if err := sink.WriteSegment(Segment{Monitor: "a", Events: tseq("a", i, i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rotated, sealed) || len(sealed) != 2 {
-		t.Fatalf("OnRotate saw %v, OnSeal saw %v; want the same 2 seals", rotated, sealed)
-	}
-}
-
 // TestTeeSink: every record reaches every capable sink, markers and
 // health snapshots skip sinks without the extension, and one sink's
 // error doesn't stop delivery to the others.
@@ -266,10 +265,11 @@ func (s *teeFailSink) WriteSegment(Segment) error { return fmt.Errorf("tee: disk
 func (s *teeFailSink) Flush() error               { return fmt.Errorf("tee: still on fire") }
 func (s *teeFailSink) Close() error               { return nil }
 
-// TestMaintainerOnSeal: the index maintainer's OnSeal seam is
-// exercised indirectly across the index package's tests; here we pin
-// only that a WALSink wired through OnSeal and one wired through the
-// deprecated OnRotate produce identical index files.
+// TestMaintainerSeamEquivalence: the index maintainer's OnSeal seam
+// is exercised indirectly across the index package's tests; here we
+// pin only that the seals a WALSink feeds through OnSeal record exactly
+// what a header scan of the sealed files rebuilds — the equivalence
+// that lets a damaged index be rebuilt instead of trusted.
 func TestMaintainerSeamEquivalence(t *testing.T) {
 	t.Parallel()
 	write := func(dir string, cfg WALConfig) {
@@ -287,8 +287,8 @@ func TestMaintainerSeamEquivalence(t *testing.T) {
 		}
 	}
 	// The maintainer lives in the index package (which imports this
-	// one), so stand in for it with equivalent SealedSinkFunc/OnRotate
-	// consumers writing a sidecar file of sealed names.
+	// one), so stand in for it with a SealedSinkFunc consumer writing a
+	// sidecar file of sealed names.
 	record := func(dir string) func(FileSummary) {
 		return func(fs FileSummary) {
 			f, err := os.OpenFile(filepath.Join(dir, "sealed.txt"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
@@ -301,11 +301,23 @@ func TestMaintainerSeamEquivalence(t *testing.T) {
 		}
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
-	write(dirA, WALConfig{MaxFileBytes: 1, OnRotate: record(dirA)})
-	fB := record(dirB)
-	write(dirB, WALConfig{MaxFileBytes: 1, OnSeal: []SealedSink{
-		SealedSinkFunc(func(fs FileSummary) error { fB(fs); return nil }),
+	fA := record(dirA)
+	write(dirA, WALConfig{MaxFileBytes: 1, OnSeal: []SealedSink{
+		SealedSinkFunc(func(fs FileSummary) error { fA(fs); return nil }),
 	}})
+	write(dirB, WALConfig{MaxFileBytes: 1})
+	names, err := walFiles(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fB := record(dirB)
+	for _, name := range names {
+		fs, err := ScanFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fB(fs)
+	}
 	a, err := os.ReadFile(filepath.Join(dirA, "sealed.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -315,6 +327,6 @@ func TestMaintainerSeamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("OnRotate and OnSeal recorded different seals:\n%s\nvs\n%s", a, b)
+		t.Fatalf("OnSeal and a header scan recorded different seals:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -2,7 +2,9 @@ package export
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -154,13 +156,6 @@ type WALConfig struct {
 	// returns. Seal errors are advisory — the file is already durable
 	// locally — so they are reported, not propagated.
 	OnSealError func(error)
-	// OnRotate is the single-consumer ancestor of OnSeal, retained for
-	// compatibility; when set it is called (before the OnSeal fan-out)
-	// with the same summary.
-	//
-	// Deprecated: use OnSeal, which supports multiple consumers and
-	// error reporting.
-	OnRotate func(FileSummary)
 	// Obs, when set, instruments the sink: export_wal_bytes_total
 	// (header + payload bytes written), export_wal_records_total,
 	// export_wal_rotations_total and the export_wal_fsync_ns latency
@@ -373,6 +368,57 @@ func (w *WALSink) WriteTombstone(t Tombstone) error {
 	return err
 }
 
+// WriteRecordBytes stores one framed record (header and payload, no
+// file magic: the bytes AppendSegmentRecord and its siblings produce)
+// as it is. It is the replication path: a collector stores what the
+// producer sent without decoding its events and encoding them again.
+// b must hold exactly one record that the WAL reader accepts and that
+// re-encodes to b itself. The header, the payload CRC and their
+// agreement are checked. A segment payload is validated in place by
+// event.CheckBinary, so a segment costs no per-event allocation. The
+// rare annotation kinds are decoded, checked against their header and
+// required to re-encode to b; the decoded annotation is returned (the
+// collector reads a health record's horizon and instant). For a
+// segment the returned Record is zero.
+func (w *WALSink) WriteRecordBytes(b []byte) (Record, error) {
+	h, n, err := parseHeader(b, walVersionLatest)
+	if err != nil {
+		return Record{}, fmt.Errorf("export: record bytes: %w", err)
+	}
+	payload := b[n:]
+	if len(payload) != int(h.payloadLen) {
+		return Record{}, fmt.Errorf("export: record bytes: %d payload bytes, header says %d", len(payload), h.payloadLen)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != h.sum {
+		return Record{}, fmt.Errorf("export: record bytes: %w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
+	}
+	var rec Record
+	if h.typ == recSegment {
+		count, first, last, err := event.CheckBinary(payload, h.monitor)
+		if err != nil {
+			return Record{}, fmt.Errorf("export: record bytes: %w", err)
+		}
+		if count != int(h.count) || first != h.first || last != h.last {
+			return Record{}, fmt.Errorf("export: record bytes: header (%d events, seq %d..%d) disagrees with payload (%d events, seq %d..%d)",
+				h.count, h.first, h.last, count, first, last)
+		}
+	} else {
+		d, err := decodeAnnotation(&h, payload)
+		if err != nil {
+			return Record{}, fmt.Errorf("export: record bytes: %w", err)
+		}
+		rec = d.record()
+		p := getPayloadBuf(len(b))
+		*p, err = appendRecord((*p)[:0], rec)
+		canonical := err == nil && bytes.Equal(*p, b)
+		putPayloadBuf(p)
+		if !canonical {
+			return Record{}, fmt.Errorf("export: record bytes: record type %d is not canonically encoded", h.typ)
+		}
+	}
+	return rec, w.writeRecord(h.typ, h.monitor, h.first, h.last, h.count, payload)
+}
+
 // writeRecord appends one record of either type and rotates if the
 // file outgrew the threshold.
 func (w *WALSink) writeRecord(typ byte, monitor string, first, last int64, count uint32, payload []byte) error {
@@ -442,8 +488,7 @@ func (w *WALSink) stale() bool {
 // rotate seals the current file — flush, fsync, close — and arranges
 // for the next write to open a fresh one. Everything before the
 // rotation point is durable from here on; the sealed file's summary is
-// then fanned out to OnRotate (deprecated single consumer) and every
-// OnSeal consumer. One consumer's failure never starves another: the
+// then fanned out to every OnSeal consumer. One consumer's failure never starves another: the
 // error goes to OnSealError and the seal-error counter, and the loop
 // continues.
 func (w *WALSink) rotate() error {
@@ -460,9 +505,6 @@ func (w *WALSink) rotate() error {
 	w.met.rotations.Inc()
 	if w.cur != nil && w.cur.sum.Records > 0 {
 		fs := w.cur.done(w.size, false)
-		if w.cfg.OnRotate != nil {
-			w.cfg.OnRotate(fs)
-		}
 		for _, s := range w.cfg.OnSeal {
 			if s == nil {
 				continue
